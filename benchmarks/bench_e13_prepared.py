@@ -120,7 +120,7 @@ def test_prepared_amortizes_client_share():
     for params in workload:
         cursor.execute(statement, params)
         prepared_rows.append(cursor.fetchall())
-        prepared_client += cursor.cost.client_s
+        prepared_client += cursor.report.cost.client_s
     prepared_wall = time.perf_counter() - t0
 
     string_rows, string_client, t0 = [], 0.0, time.perf_counter()

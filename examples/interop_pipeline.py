@@ -55,7 +55,7 @@ def main() -> None:
     print("SDB result (operators chained entirely at the SP):")
     print(cur.fetch_table().pretty())
     print("\noperator chain visible in the rewritten query:")
-    rewritten = cur.rewritten_sql
+    rewritten = cur.report.rewritten_sql
     for udf in ("sdb_mul(", "sdb_add(", "sdb_keyupdate(", "sdb_sign(",
                 "sdb_agg_sum(", "sdb_signed("):
         print(f"  {udf:16s} x{rewritten.count(udf)}")

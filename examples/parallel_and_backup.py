@@ -1,8 +1,10 @@
 """Scalability and administration: parallel execution, backup, restore.
 
 Exercises the two SP-side service claims of the paper's architecture
-section: computation pushed into a parallel, fault-tolerant engine, and
-the DBaaS administration services (backup/recovery) a tenant outsources.
+section: computation pushed into a parallel, fault-tolerant engine (here a
+cluster coordinator scattering partial aggregates over replicated shards),
+and the DBaaS administration services (backup/recovery) a tenant
+outsources.
 
 Run:  python examples/parallel_and_backup.py
 """
@@ -12,16 +14,17 @@ import tempfile
 from pathlib import Path
 
 import repro.api as api
+from repro.cluster import Coordinator, ShardGroup
+from repro.cluster.faults import FaultInjector, FaultyBackend
 from repro.core.meta import ValueType
 from repro.core.server import SDBServer
 from repro.crypto.prf import seeded_rng
-from repro.engine.parallel import FaultInjector, TaskScheduler
 from repro.storage import DiskCatalog, DurableServer, create_backup, restore_backup
 
 ROWS = 3000
 
 
-def load(proxy) -> None:
+def load(proxy, shard_by=None) -> None:
     regions = ["apac", "emea", "amer"]
     proxy.create_table(
         "orders",
@@ -30,29 +33,38 @@ def load(proxy) -> None:
         [(i, regions[i % 3], float((i * 73) % 900) + 0.50) for i in range(ROWS)],
         sensitive=["amount"],
         rng=seeded_rng(23),
+        shard_by=shard_by,
     )
 
 
 def main() -> None:
-    # -- parallel encrypted aggregation with injected failures ----------------
-    injector = FaultInjector({("partial", 0): 1, ("partial", 3): 1})
-    scheduler = TaskScheduler(max_attempts=3, fault_injector=injector)
-    server = SDBServer(parallel_partitions=6)
-    server.engine.scheduler = scheduler
-    conn = api.connect(server=server, modulus_bits=512, value_bits=64,
+    # -- parallel encrypted aggregation over replicated shards ----------------
+    injector = FaultInjector()
+    coordinator = Coordinator([
+        ShardGroup([
+            FaultyBackend(SDBServer(shard_id=g), f"shard{g}.r{o}", injector)
+            for o in range(2)
+        ])
+        for g in range(6)
+    ])
+    conn = api.connect(server=coordinator, modulus_bits=512, value_bits=64,
                        rng=seeded_rng(22))
-    load(conn.proxy)
+    load(conn.proxy, shard_by="oid")
 
+    # two replicas "die"; reads fail over to their surviving group members
+    injector.kill("shard0.r0")
+    injector.kill("shard3.r0")
     cur = conn.execute(
         "SELECT region, COUNT(*) AS n, SUM(amount) AS revenue "
         "FROM orders GROUP BY region ORDER BY revenue DESC"
     )
     table = cur.fetch_table()
-    plan = server.engine.last_plan
-    print(f"plan: {plan.mode} ({plan.reason}), {plan.partitions} partitions")
-    print(f"tasks {scheduler.stats.tasks}, attempts {scheduler.stats.attempts}, "
-          f"retries {scheduler.stats.retries} (two executors 'died' and were retried)")
+    route = cur.report.scatter
+    print(f"route: {route.mode} ({route.reason})")
+    for event in cur.report.failover:
+        print(f"  failover: {event}")
     print(table.pretty())
+    conn.close()
 
     # -- backup / restore at the SP ------------------------------------------------
     live_dir = tempfile.mkdtemp(prefix="sdb-live-")

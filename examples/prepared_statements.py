@@ -81,7 +81,7 @@ def main() -> None:
         cur.execute(q6, params)
         revenue = cur.fetchone()[0]
         label = "first (parse+rewrite charged)" if i == 0 else "re-bind only"
-        print(f"{str(params):20s} {label:>14s}  {fmt(cur.cost)}")
+        print(f"{str(params):20s} {label:>14s}  {fmt(cur.report.cost)}")
         assert revenue is not None
 
     print(f"\nplan variants held by the statement: {q6.plan_variants} "

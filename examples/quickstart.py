@@ -46,20 +46,20 @@ def main() -> None:
     cur = conn.cursor()
     cur.execute("SELECT item, a * b AS c FROM t WHERE a * b > ?", [20])
     print("\nrewritten query sent to the SP:")
-    print(" ", cur.rewritten_sql[:200], "...")
+    print(" ", cur.report.rewritten_sql[:200], "...")
     print("\ndecrypted result (streamed through the cursor):")
     print(cur.fetch_table().pretty())
-    cost = cur.cost
+    cost = cur.report.cost
     print("\ncost breakdown:",
           f"client {cost.client_s * 1000:.2f} ms,",
           f"server {cost.server_s * 1000:.2f} ms")
-    print("declared leakage:", list(cur.leakage))
+    print("declared leakage:", list(cur.report.leakage))
 
     # re-executing with a different bound value reuses the cached plan:
     # no re-parse, no re-rewrite -- just new deferred ring literals
     cur.execute("SELECT item, a * b AS c FROM t WHERE a * b > ?", [6])
     print("\nsame statement, new parameter (cache hit, "
-          f"rewrite {cur.cost.rewrite_s * 1000:.3f} ms):")
+          f"rewrite {cur.report.cost.rewrite_s * 1000:.3f} ms):")
     print(cur.fetch_table().pretty())
 
 

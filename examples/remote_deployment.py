@@ -63,7 +63,7 @@ def main() -> None:
     )
     print("\n[MDO] decrypted result:")
     print(cur.fetch_table().pretty())
-    cost = cur.cost
+    cost = cur.report.cost
     print(f"\n[MDO] client {cost.client_s * 1000:.1f} ms, "
           f"server {cost.server_s * 1000:.1f} ms, "
           f"wire total {remote.bytes_sent} bytes sent")

@@ -34,7 +34,7 @@ def main(scale_factor: float = 0.0004) -> None:
         table = cur.fetch_table()
         expected = plain.execute(QUERIES[number])
         ok = table.num_rows == expected.num_rows
-        cost = cur.cost
+        cost = cur.report.cost
         print(
             f"Q{number:<5d} {table.num_rows:>5d} "
             f"{cost.client_s * 1000:>10.1f} {cost.server_s * 1000:>10.1f} "
@@ -47,7 +47,7 @@ def main(scale_factor: float = 0.0004) -> None:
     cur.execute(QUERIES[6])
     cur.fetchall()
     print("\nQ6 rewritten query (first 300 chars):")
-    print(" ", cur.rewritten_sql[:300], "...")
+    print(" ", cur.report.rewritten_sql[:300], "...")
     info = conn.cache_info()
     print(f"\nsession statement cache: {info.hits} hits, {info.misses} misses "
           "(Q1 and Q6 re-ran without re-parse or re-rewrite)")

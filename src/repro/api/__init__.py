@@ -48,7 +48,12 @@ Highlights:
   exclusively and bumps the snapshot epoch.
 * The same session surface exists in ``async``/``await`` form:
   ``repro.api.aio`` (``aconnect() -> AsyncConnection -> AsyncCursor``),
-  differentially pinned row-for-row against this module.
+  differentially pinned row-for-row against this module.  It drives a
+  connection built here from a worker thread, so both tiers share one
+  wire client (:class:`~repro.net.client.RemoteServer`).
+* ``Connection.close()`` releases the backend ``connect()`` built for it
+  (cluster coordinator, wire socket, WAL file handle); a backend passed
+  in with ``server=`` or ``proxy=`` stays the caller's to close.
 """
 
 from repro.api.backend import (

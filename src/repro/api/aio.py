@@ -29,11 +29,10 @@ worker threads overlap, and the server side -- the readers-writer
 in-process server, the session-keyed networked daemon, the scatter pool
 of a cluster coordinator -- executes them in parallel.
 
-For remote deployments (``aconnect(host=..., port=...)``) the wire is the
-non-blocking pipelining client (:class:`repro.net.aio.AsyncRemoteServer`):
-the proxy pipeline runs on the worker thread and its backend calls are
-scheduled onto the event loop through the sync bridge, so socket I/O is
-always loop-driven.
+Every deployment shape, remote ones included, is built by the sync
+:func:`repro.api.connect`: ``aconnect(host=..., port=...)`` speaks the one
+wire client (:class:`repro.net.client.RemoteServer`) from the worker
+thread, so the event loop never touches a socket.
 """
 
 from __future__ import annotations
@@ -113,22 +112,6 @@ class AsyncCursor:
     @property
     def statement(self):
         return self._cursor.statement
-
-    @property
-    def cost(self):
-        return self._cursor.cost
-
-    @property
-    def rewritten_sql(self):
-        return self._cursor.rewritten_sql
-
-    @property
-    def leakage(self):
-        return self._cursor.leakage
-
-    @property
-    def notes(self):
-        return self._cursor.notes
 
     @property
     def report(self):
@@ -215,10 +198,9 @@ class AsyncConnection:
     ProgrammingError = exc.ProgrammingError
     NotSupportedError = exc.NotSupportedError
 
-    def __init__(self, connection: _connection.Connection, executor, wire=None):
+    def __init__(self, connection: _connection.Connection, executor):
         self._sync = connection
         self._executor = executor
-        self._wire = wire  # AsyncRemoteServer for host/port deployments
         self._loop = asyncio.get_running_loop()
         self.closed = False
 
@@ -311,8 +293,6 @@ class AsyncConnection:
         try:
             await self._run(self._sync.close)
         finally:
-            if self._wire is not None:
-                await self._wire.aclose()
             self._executor.shutdown(wait=False)
 
     async def __aenter__(self) -> "AsyncConnection":
@@ -340,55 +320,35 @@ async def aconnect(
 ) -> AsyncConnection:
     """Open an async session; deployment shapes mirror :func:`repro.api.connect`.
 
-    ``host``/``port`` deployments speak the pipelining non-blocking wire
-    client (:class:`repro.net.aio.AsyncRemoteServer`); every other shape
-    wraps the same backend objects the sync tier uses.  Key generation and
-    the proxy pipeline run on the connection's worker thread, never on the
-    event loop.
+    Every shape is built by the sync :func:`~repro.api.connect` on the
+    connection's worker thread, so key generation, the proxy pipeline and
+    wire I/O never run on the event loop.
     """
     loop = asyncio.get_running_loop()
     executor = ThreadPoolExecutor(
         max_workers=1, thread_name_prefix=f"sdb-aio-{next_session_id()}"
     )
-    wire = None
+
+    def build() -> _connection.Connection:
+        return _connection.connect(
+            proxy,
+            server=server,
+            host=host,
+            port=port,
+            durable=durable,
+            shards=shards,
+            modulus_bits=modulus_bits,
+            value_bits=value_bits,
+            policy=policy,
+            rng=rng,
+            statement_cache_size=statement_cache_size,
+            tracing=tracing,
+            slow_query_s=slow_query_s,
+        )
+
     try:
-        if proxy is None and server is None and (
-            host is not None or port is not None
-        ):
-            if durable is not None or shards is not None:
-                raise exc.InterfaceError(
-                    "host/port is its own deployment shape; do not combine "
-                    "it with durable/shards"
-                )
-            from repro.net.aio import AsyncRemoteServer
-
-            wire = await AsyncRemoteServer.connect(
-                host or "127.0.0.1", int(port)
-            )
-            server = wire.sync_backend(loop)
-            host = port = None
-
-        def build() -> _connection.Connection:
-            return _connection.connect(
-                proxy,
-                server=server,
-                host=host,
-                port=port,
-                durable=durable,
-                shards=shards,
-                modulus_bits=modulus_bits,
-                value_bits=value_bits,
-                policy=policy,
-                rng=rng,
-                statement_cache_size=statement_cache_size,
-                tracing=tracing,
-                slow_query_s=slow_query_s,
-            )
-
         sync_conn = await loop.run_in_executor(executor, build)
     except Exception:
-        if wire is not None:
-            await wire.aclose()
         executor.shutdown(wait=False)
         raise
-    return AsyncConnection(sync_conn, executor, wire=wire)
+    return AsyncConnection(sync_conn, executor)

@@ -53,6 +53,8 @@ class Connection:
             raise exc.InterfaceError("statement cache needs at least one slot")
         self.proxy = proxy
         self.closed = False
+        #: the backend connect() built for this session, closed with it
+        self._owned_backend = None
         #: per-session tracer; disabled by default so the hot path pays one
         #: ContextVar read.  ``tracing=True`` (or connect(tracing=True))
         #: records span trees for every statement on this connection.
@@ -102,12 +104,11 @@ class Connection:
         for statement in self._cache.values():
             statement.close()
         self._cache.clear()
-        cluster = getattr(self, "_owned_cluster", None)
-        if cluster is not None:
-            # connect(shards=...) built this coordinator (scatter pool,
-            # possibly remote shard sockets); release it with the session
+        if self._owned_backend is not None:
+            # a coordinator's scatter pool and shard sockets, a wire
+            # socket, a WAL file handle: release them with the session
             try:
-                cluster.close()
+                self._owned_backend.close()
             except Exception:
                 pass
         self.closed = True
@@ -440,7 +441,7 @@ def connect(
     slow-query log at that threshold.  Both default off and cost ~nothing
     when off.
     """
-    owned_cluster = None
+    owned_backend = None
     if proxy is None:
         from repro.core.proxy import SDBProxy
 
@@ -453,17 +454,24 @@ def connect(
                     )
                 if replicas < 0:
                     raise exc.InterfaceError("replicas= cannot be negative")
-                server = owned_cluster = _build_cluster(
+                server = owned_backend = _build_cluster(
                     shards, replicas=replicas, weights=weights
                 )
             elif host is not None or port is not None:
+                if durable is not None:
+                    raise exc.InterfaceError(
+                        "host/port is its own deployment shape; do not "
+                        "combine it with durable"
+                    )
                 from repro.net.client import RemoteServer
 
-                server = RemoteServer.connect(host or "127.0.0.1", int(port))
+                server = owned_backend = RemoteServer.connect(
+                    host or "127.0.0.1", int(port)
+                )
             elif durable is not None:
                 from repro.storage.durable import DurableServer
 
-                server = DurableServer(durable)
+                server = owned_backend = DurableServer(durable)
             else:
                 from repro.core.server import SDBServer
 
@@ -496,5 +504,5 @@ def connect(
         tracing=tracing,
         slow_query_s=slow_query_s,
     )
-    connection._owned_cluster = owned_cluster
+    connection._owned_backend = owned_backend
     return connection

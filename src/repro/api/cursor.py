@@ -293,11 +293,10 @@ class Cursor:
     def report(self):
         """Unified :class:`~repro.api.report.QueryReport` for the last execution.
 
-        Folds the legacy per-attribute telemetry (``cost``,
-        ``rewritten_sql``, ``leakage``, ``notes``), the cluster scatter
-        report, and the engine's batch/row execution path into one frozen
-        value.  Built on access from the retained execution handle, so it
-        survives streaming fetches; None before any execution.
+        Folds the execution's cost, rewritten SQL, leakage and notes, the
+        cluster scatter report, and the engine's batch/row execution path
+        into one frozen value.  Built on access from the retained execution
+        handle, so it survives streaming fetches; None before any execution.
         """
         from repro.api.report import QueryReport
 
@@ -328,48 +327,6 @@ class Cursor:
                 notes=tuple(result.notes),
             )
         return None
-
-    # The attribute quartet below predates QueryReport.  Each is a
-    # deprecated alias kept for compatibility; prefer ``cursor.report``.
-
-    @property
-    def cost(self):
-        """Per-execution :class:`~repro.core.proxy.CostBreakdown` so far.
-
-        Deprecated alias: prefer ``cursor.report.cost``.
-        """
-        if self._execution is not None:
-            return self._execution.cost()
-        if self._dml_result is not None:
-            return self._dml_result.cost
-        return None
-
-    @property
-    def rewritten_sql(self) -> Optional[str]:
-        """Deprecated alias: prefer ``cursor.report.rewritten_sql``."""
-        if self._execution is not None:
-            return self._execution.rewritten_sql
-        if self._dml_result is not None:
-            return self._dml_result.rewritten_sql
-        return None
-
-    @property
-    def leakage(self) -> tuple:
-        """Deprecated alias: prefer ``cursor.report.leakage``."""
-        if self._execution is not None:
-            return self._execution.plan.leakage + self._execution.scatter_leakage
-        if self._dml_result is not None:
-            return self._dml_result.leakage
-        return ()
-
-    @property
-    def notes(self) -> tuple:
-        """Deprecated alias: prefer ``cursor.report.notes``."""
-        if self._execution is not None:
-            return self._execution.plan.notes
-        if self._dml_result is not None:
-            return self._dml_result.notes
-        return ()
 
 
 def _describe(plan) -> tuple:

@@ -1,12 +1,9 @@
 """The unified per-execution report: one typed object per query.
 
-Historically the session layer scattered execution telemetry across loose
-cursor attributes -- ``cursor.cost``, ``cursor.leakage``, ``cursor.notes``,
-``cursor.rewritten_sql`` -- plus backend-specific surfaces (the cluster's
-scatter report, the engine's batch/row execution path).  A
-:class:`QueryReport` folds all of them into a single value that stays
-available across streaming fetches.  The old cursor attributes remain as
-thin deprecated delegates, so nothing breaks.
+A :class:`QueryReport` (``cursor.report``) folds the execution's cost,
+rewritten SQL, declared leakage and notes together with backend-specific
+surfaces (the cluster's scatter report, the engine's batch/row execution
+path) into a single value that stays available across streaming fetches.
 """
 
 from __future__ import annotations

@@ -510,7 +510,8 @@ class SDBShell:
     def _render_select(self, cursor) -> str:
         table = cursor.fetch_table()
         lines = [table.pretty()]
-        cost = cursor.cost
+        report = cursor.report
+        cost = report.cost
         lines.append(
             f"({table.num_rows} rows; client "
             f"{cost.client_s * 1000:.1f} ms [parse {cost.parse_s * 1000:.1f}"
@@ -519,13 +520,14 @@ class SDBShell:
             f"{cost.server_s * 1000:.1f} ms)"
         )
         if self.show_rewrite:
-            lines.append(f"rewritten: {cursor.rewritten_sql}")
+            lines.append(f"rewritten: {report.rewritten_sql}")
         return "\n".join(lines)
 
     def _render_dml(self, cursor) -> str:
         lines = [f"{cursor.rowcount} row(s) affected"]
-        if self.show_rewrite and cursor.rewritten_sql:
-            lines.append(f"rewritten: {cursor.rewritten_sql}")
+        report = cursor.report
+        if self.show_rewrite and report is not None and report.rewritten_sql:
+            lines.append(f"rewritten: {report.rewritten_sql}")
         return "\n".join(lines)
 
     def _render_tables(self) -> str:

@@ -13,10 +13,10 @@ Execution routes one of four ways, recorded in :attr:`last_scatter`:
 * **primary** -- the query touches no sharded table; it runs verbatim on
   the designated primary shard (``shards[0]``), which holds every
   unsharded relation.
-* **scatter** -- the query is partial/merge-splittable (same eligibility
-  as the thread-parallel engine, :mod:`repro.engine.partial`) over one
-  sharded table: each shard runs the partial over its bucket slice, and
-  the coordinator merges the union of partials with a local engine.
+* **scatter** -- the query is partial/merge-splittable (eligibility in
+  :mod:`repro.engine.partial`) over one sharded table: each shard runs
+  the partial over its bucket slice, and the coordinator merges the
+  union of partials with a local engine.
   Secret shares merge by ring addition, so the gather step needs no keys.
 * **coshard** -- a splittable *join* whose sharded tables are provably
   co-located (equi-joined on their shard keys through one colocation

@@ -1,11 +1,10 @@
-"""Partial/merge split planning, shared by thread- and cluster-parallelism.
+"""Partial/merge split planning for the sharded cluster executor.
 
 The two-phase shape Spark SQL plans for distributed aggregates -- a partial
 query evaluated independently per data slice plus a merge query over the
-union of partials -- is the same whether the slices are thread-pool
-partitions of one table (:mod:`repro.engine.parallel`) or encrypted shards
-spread over separate service providers (:mod:`repro.cluster`).  This module
-holds that planning once:
+union of partials -- is how the cluster tier (:mod:`repro.cluster`) runs a
+query over encrypted shards spread across separate service providers.
+This module holds that planning:
 
 * :func:`ineligibility` -- the conservative eligibility test: single-table
   queries whose aggregates are built-ins (non-DISTINCT ``SUM/COUNT/MIN/

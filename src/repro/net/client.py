@@ -66,10 +66,9 @@ class RemoteServer:
     Every request carries a request ``id`` and this client's ``session``
     tag, so the daemon dispatches it on its session-keyed pool: two
     RemoteServers against the same daemon execute concurrently (subject
-    to the server's readers-writer lock), where the legacy protocol
-    serialized them behind one global statement lock.  This client keeps
-    one request in flight at a time; the asyncio tier's wire client
-    pipelines.
+    to the server's readers-writer lock).  This client keeps one request
+    in flight at a time; concurrency comes from opening several (the
+    asyncio tier drives one per connection from its worker thread).
     """
 
     def __init__(self, sock: socket.socket, session_id=None):
@@ -132,7 +131,6 @@ class RemoteServer:
         request = {"op": op, **args}
         # trace propagation: the ambient span's identity rides the request
         # so the daemon's spans stitch under it; absent when tracing is off
-        # (and legacy daemons ignore the extra key)
         span = current_span()
         if span is not None:
             request[TRACE_KEY] = span.context()
@@ -146,7 +144,8 @@ class RemoteServer:
             request["session"] = self.session_id if session is None else session
             try:
                 self.bytes_sent += protocol.send_message(self._sock, request)
-                response = protocol.recv_message(self._sock)
+                response, received = protocol.recv_message(self._sock)
+                self.bytes_received += received
             except (OSError, protocol.NetError) as exc:
                 # Transport loss mid-call: the frame stream is unusable
                 # (a reply may be half-read), so poison the handle -- every
@@ -160,12 +159,11 @@ class RemoteServer:
                 raise ShardUnavailableError(
                     f"lost connection to {self.endpoint} during {op!r}: {exc}"
                 ) from exc
-        if response.get("id") not in (None, request_id):
+        if response.get("id") != request_id:
             raise protocol.NetError(
                 f"out-of-order response: expected {request_id}, "
                 f"got {response.get('id')}"
             )
-        self.bytes_received += len(repr(response))
         if span is not None:
             # daemon-side spans piggyback on the response (error or ok:
             # the daemon's work happened either way)

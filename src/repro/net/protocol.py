@@ -122,14 +122,17 @@ def send_message(sock: socket.socket, message: dict) -> int:
     return _LENGTH.size + len(body)
 
 
-def recv_message(sock: socket.socket) -> dict:
-    """Receive one frame; raises :class:`NetError` on EOF mid-frame."""
+def recv_message(sock: socket.socket) -> tuple[dict, int]:
+    """Receive one frame; returns the message and the bytes read.
+
+    Raises :class:`NetError` on EOF mid-frame.
+    """
     header = _recv_exact(sock, _LENGTH.size)
     (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise NetError(f"frame too large: {length} bytes")
     body = _recv_exact(sock, length)
-    return json.loads(body.decode("utf-8"))
+    return json.loads(body.decode("utf-8")), _LENGTH.size + length
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:

@@ -6,17 +6,15 @@ exactly as trusted as the in-process server -- i.e. not at all: it only
 ever sees encrypted uploads and rewritten queries.
 
 Concurrency model: every connected client gets a reader thread, but the
-*work* runs on one shared thread pool keyed by **session**.  A request
-carrying a request ``id`` (and optionally a ``session`` tag -- the wire
-form of the client's :class:`~repro.api.backend.ExecutionContext` id) is
-dispatched to the pool; requests of the same session execute in submission
-order, while different sessions run concurrently -- the underlying
-:class:`SDBServer` readers-writer lock then lets read-only statements
-overlap and serializes mutations.  Responses echo the request ``id`` and
-may return out of order, which is what lets a pipelining client (the
-asyncio tier) keep several requests in flight on one socket.  Requests
-without an ``id`` are handled inline on the reader thread, exactly like
-the pre-session protocol (legacy clients keep working unchanged).
+*work* runs on one shared thread pool keyed by **session**.  Every request
+is dispatched to the pool under its ``session`` tag (the wire form of the
+client's :class:`~repro.api.backend.ExecutionContext` id; untagged
+requests share one per-connection session): requests of the same session
+execute in submission order, while different sessions run concurrently --
+the underlying :class:`SDBServer` readers-writer lock then lets read-only
+statements overlap and serializes mutations.  Responses echo the request
+``id`` (``None`` when the request carried none) and may return out of
+order across sessions.
 """
 
 from __future__ import annotations
@@ -76,19 +74,13 @@ class _RequestHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         while True:
             try:
-                request = protocol.recv_message(self.request)
+                request, _ = protocol.recv_message(self.request)
             except protocol.NetError:
                 return  # peer closed the connection
-            request_id = request.get("id")
-            if request_id is None:
-                # legacy one-at-a-time path: dispatch inline, respond now
-                response = self._dispatch(request)
-                if not self._send(response):
-                    return
-                continue
-            self._submit(request, request_id)
+            self._submit(request)
 
-    def _submit(self, request: dict, request_id) -> None:
+    def _submit(self, request: dict) -> None:
+        request_id = request.get("id")
         session_key = request.get("session")
         if session_key is None:
             session_key = f"conn-{id(self)}"

@@ -11,12 +11,10 @@ plaintext, key material, or shard-key value ever enters a span.
 Propagation is by ambient context, not plumbing: the active span lives in
 a :mod:`contextvars` variable, so instrumentation points anywhere in the
 stack ask :func:`current_span` and attach children without the tracer
-being threaded through every constructor.  ``contextvars`` (rather than a
-bare thread-local) matters for the asyncio tier: the sync->async bridge in
-:mod:`repro.net.aio` schedules coroutines with
-``run_coroutine_threadsafe``, which copies the *calling* thread's context
-onto the created task -- a span opened on the proxy worker thread is
-visible inside the coroutine that ships its frames.  Thread pools do not
+being threaded through every constructor.  The asyncio tier needs nothing
+extra: it runs each session's whole statement -- proxy pipeline and wire
+round trips alike -- on one worker thread, so the span a statement opens
+is the ambient span when its frames are sent.  Thread pools do not
 inherit context; code that fans work out (coordinator scatter, the net
 server's session pool) captures the parent span before submitting and
 re-opens a child inside the task.

@@ -54,7 +54,7 @@ def test_net_daemon_bounds_per_session_queue():
                     })
                 busy = []
                 for _ in range(FLOOD - QUEUE_LIMIT):
-                    response = protocol.recv_message(sock)
+                    response, _ = protocol.recv_message(sock)
                     assert response.get("error_type") == "ServerBusyError", response
                     assert "server busy" in response["error_message"]
                     busy.append(response["id"])
@@ -62,14 +62,14 @@ def test_net_daemon_bounds_per_session_queue():
             finally:
                 sdb._lock.release_write()
             # the admitted requests complete once the engine unwedges...
-            completed = [protocol.recv_message(sock) for _ in range(QUEUE_LIMIT)]
+            completed = [protocol.recv_message(sock)[0] for _ in range(QUEUE_LIMIT)]
             assert all("ok" in response for response in completed)
             # ...and the session is immediately admissible again
             protocol.send_message(sock, {
                 "op": "execute", "sql": "SELECT 1",
                 "id": FLOOD + 1, "session": 99,
             })
-            response = protocol.recv_message(sock)
+            response, _ = protocol.recv_message(sock)
             assert "ok" in response and response["id"] == FLOOD + 1
             # slots release on task completion (a whisker after the
             # response hits the wire): poll for the drain
@@ -106,7 +106,7 @@ def test_net_daemon_sessions_are_isolated():
                 })
                 responses = {}
                 for _ in range(FLOOD - QUEUE_LIMIT):
-                    response = protocol.recv_message(sock)
+                    response, _ = protocol.recv_message(sock)
                     responses[response["id"]] = response
                 assert all(
                     r.get("error_type") == "ServerBusyError"

@@ -5,7 +5,7 @@ replayed here through ``repro.api.aio`` against a deployment built from
 identical seeds, and the outputs are compared row for row: prepare /
 execute / fetch / iteration / errors / statement cache.  Tests run over
 both the in-process backend and a live TCP daemon (where the async tier
-speaks the pipelining non-blocking wire client).
+drives the sync wire client from its worker thread).
 """
 
 import asyncio

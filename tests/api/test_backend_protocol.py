@@ -61,29 +61,6 @@ def test_coordinator_conforms():
         coordinator.close()
 
 
-def test_async_bridge_conforms():
-    import asyncio
-
-    from repro.net import start_server
-    from repro.net.aio import AsyncRemoteServer
-
-    net_server, _ = start_server(sdb_server=SDBServer())
-
-    async def main():
-        remote = await AsyncRemoteServer.connect("127.0.0.1", net_server.port)
-        try:
-            bridge = remote.sync_backend()
-            assert isinstance(bridge, Backend)
-        finally:
-            await remote.aclose()
-
-    try:
-        asyncio.run(main())
-    finally:
-        net_server.shutdown()
-        net_server.server_close()
-
-
 def test_session_ids_are_unique():
     first, second = next_session_id(), next_session_id()
     assert first != second

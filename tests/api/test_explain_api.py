@@ -136,11 +136,12 @@ def test_report_folds_legacy_select_attributes(conn):
     report = cur.report
     assert isinstance(report, QueryReport)
     assert report.kind == "select"
-    # the deprecated per-attribute surface must agree with the report
-    assert report.rewritten_sql == cur.rewritten_sql
-    assert report.notes == cur.notes
-    assert set(cur.leakage) <= set(report.leakage)
-    assert report.cost == cur.cost
+    # the report folds what the execution handle recorded
+    execution = cur._execution
+    assert report.rewritten_sql == execution.rewritten_sql
+    assert report.notes == execution.plan.notes
+    assert set(execution.plan.leakage) <= set(report.leakage)
+    assert report.cost.total_s > 0
     assert report.exec_path in ("batch", "row", None)
     pretty = report.pretty()
     assert "SELECT" in pretty.upper()

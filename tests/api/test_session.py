@@ -142,7 +142,7 @@ def test_parameter_values_stay_masked_on_the_wire(conn):
     st = conn.prepare("SELECT COUNT(*) AS c FROM pay WHERE sal > ?")
     cur = conn.cursor()
     cur.execute(st, [777.0])
-    rewritten = cur.rewritten_sql
+    rewritten = cur.report.rewritten_sql
     assert "777" not in rewritten.split("sdb_sign")[0]
     # the bound literal is a masked ring element, not 77700
     assert "77700" not in rewritten
@@ -313,7 +313,7 @@ def test_cursor_cost_extension(conn):
     cur = conn.cursor()
     cur.execute("SELECT SUM(sal) AS s FROM pay")
     cur.fetchall()
-    cost = cur.cost
+    cost = cur.report.cost
     assert cost.total_s > 0
-    assert "sdb_" in cur.rewritten_sql
-    assert isinstance(cur.leakage, tuple)
+    assert "sdb_" in cur.report.rewritten_sql
+    assert isinstance(cur.report.leakage, tuple)

@@ -111,10 +111,10 @@ def test_fetch_table_after_fetchone_returns_buffered_rows(conn):
 def test_reexecution_skips_parse_and_rewrite(conn):
     cur = conn.cursor()
     cur.execute("SELECT SUM(v) AS s FROM t").fetchall()
-    first = cur.cost
+    first = cur.report.cost
     assert first.parse_s > 0 or first.rewrite_s > 0
     cur.execute("SELECT SUM(v) AS s FROM t").fetchall()
-    second = cur.cost
+    second = cur.report.cost
     assert second.parse_s == 0.0
     assert second.rewrite_s < max(first.rewrite_s, 1e-4)
 
@@ -181,11 +181,11 @@ def test_parameterized_plan_declares_mask_reuse(conn):
     must say so, the way every other leakage source is declared."""
     cur = conn.cursor()
     cur.execute(conn.prepare("SELECT id FROM t WHERE v > ?"), [30.0])
-    assert any(entry.startswith("prepared:") for entry in cur.leakage)
+    assert any(entry.startswith("prepared:") for entry in cur.report.leakage)
     # a parameterless statement has nothing reused worth declaring beyond
     # its ordinary per-query leakage
     cur.execute("SELECT id FROM t WHERE v > 30")
-    assert not any(entry.startswith("prepared:") for entry in cur.leakage)
+    assert not any(entry.startswith("prepared:") for entry in cur.report.leakage)
 
 
 def test_rebinding_remasks_the_wire_literals(conn):

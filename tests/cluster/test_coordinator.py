@@ -267,7 +267,7 @@ def test_select_leakage_includes_cluster_routing(cluster):
     conn, _ = cluster
     cur = conn.cursor()
     cur.execute("SELECT SUM(amount) AS t FROM pay")
-    assert any("cluster:" in entry for entry in cur.leakage)
+    assert any("cluster:" in entry for entry in cur.report.leakage)
 
 
 # -- DDL -----------------------------------------------------------------------

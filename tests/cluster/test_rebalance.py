@@ -138,7 +138,7 @@ def test_alter_cluster_sql_roundtrip():
     cur.execute("ALTER CLUSTER ADD SHARD")
     assert conn.proxy.server.num_shards == 3
     assert cur.rowcount > 0  # rows migrated
-    assert any("rebalance:" in entry for entry in cur.leakage)
+    assert any("rebalance:" in entry for entry in cur.report.leakage)
     cur.execute("ALTER CLUSTER REMOVE SHARD")
     assert conn.proxy.server.num_shards == 2
     assert results(conn) == want

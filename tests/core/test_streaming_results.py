@@ -152,10 +152,26 @@ def test_pipelined_runtime_errors_map_to_dbapi_hierarchy(deployment):
         cur.fetchone()
 
 
-def test_connection_close_releases_owned_cluster():
-    conn = api.connect(shards=2, modulus_bits=256, value_bits=64,
-                       rng=seeded_rng(37))
-    coordinator = conn.proxy.server
-    conn.close()
-    with pytest.raises(RuntimeError):  # scatter pool is shut down
-        coordinator._pool.submit(lambda: None)
+def test_connection_close_releases_owned_cluster(tmp_path):
+    """close() releases whatever backend connect() built: a coordinator's
+    scatter pool, a wire socket, a WAL file handle."""
+    from repro.net import start_server
+
+    daemon, _ = start_server(sdb_server=SDBServer())
+    try:
+        shapes = [
+            (dict(shards=2), lambda backend: backend._pool._shutdown),
+            (dict(host="127.0.0.1", port=daemon.port),
+             lambda backend: backend._sock.fileno() == -1),
+            (dict(durable=str(tmp_path / "sp")),
+             lambda backend: backend.wal._file.closed),
+        ]
+        for kwargs, released in shapes:
+            conn = api.connect(modulus_bits=256, value_bits=64,
+                               rng=seeded_rng(37), **kwargs)
+            backend = conn.proxy.server
+            conn.close()
+            assert released(backend), kwargs
+    finally:
+        daemon.shutdown()
+        daemon.server_close()

@@ -117,17 +117,35 @@ def test_encrypted_matches_plaintext(encrypted_setup):
 
 
 def test_parallel_matches_sqlite(oracle_setup):
-    """The partition-parallel engine joins the oracle chain."""
-    from repro.engine.parallel import ParallelEngine
+    """Partial/merge execution on a 3-shard cluster joins the oracle chain."""
+    import repro.api as api
 
-    connection, engine, data, _ = oracle_setup
-    parallel = ParallelEngine(engine.catalog, engine.udfs, num_partitions=3)
+    connection, _, data, _ = oracle_setup
+    conn = api.connect(shards=3, modulus_bits=256, value_bits=64,
+                       rng=seeded_rng(53))
+    for name, columns in COLUMNS.items():
+        vtypes = [
+            (c, ValueType.int_() if kind == "int" else ValueType.string(8))
+            for c, kind in columns
+        ]
+        sensitive = [c for c, kind in columns if kind == "int"]
+        conn.proxy.create_table(name, vtypes, data[name], sensitive=sensitive,
+                                rng=seeded_rng(54), shard_by=columns[0][0])
     generator = QueryGenerator(random.Random(90210))
     mismatches = []
+    routes = set()
     for i in range(NUM_QUERIES // 2):
         sql = generator.query()
         expected = _normalize(connection.execute(sql).fetchall())
-        actual = _normalize(parallel.execute(sql).rows())
+        try:
+            cursor = conn.cursor().execute(sql)
+            actual = _normalize(cursor.fetchall())
+        except Exception as exc:  # rewriter refusal is a failure here too
+            mismatches.append((i, sql, "exception", repr(exc)))
+            continue
+        routes.add(cursor.report.scatter.mode)
         if actual != expected:
             mismatches.append((i, sql, expected[:5], actual[:5]))
+    conn.close()
     assert not mismatches, f"{len(mismatches)} diverging queries: {mismatches[:3]}"
+    assert "scatter" in routes  # the partial/merge path ran

@@ -1,15 +1,43 @@
-"""Partition-parallel execution: correctness, fallback, fault tolerance."""
+"""Partial/merge parallel execution on the cluster tier.
+
+Section 2.2's parallelism and fault tolerance come from the engine under
+the UDFs: an in-process :class:`~repro.cluster.Coordinator` hash-partitions
+encrypted tables over shard servers, runs the :mod:`repro.engine.partial`
+split (a partial query per shard plus a merge over the union of partials)
+and retries reads on a surviving replica when a shard member dies.  Every
+answer is pinned against the serial plaintext engine; queries the split
+cannot express fall back with a stated reason.
+"""
 
 import pytest
 
+import repro.api as api
+from repro.cluster import Coordinator, ShardGroup
+from repro.cluster.faults import FaultInjector, FaultyBackend
+from repro.core.meta import ValueType
+from repro.core.server import SDBServer
+from repro.core.udfs import register_sdb_udfs
+from repro.crypto.prf import seeded_rng
 from repro.engine import Catalog, ColumnSpec, DataType, Engine, Schema, Table
-from repro.engine.parallel import (
-    FaultInjector,
-    ParallelEngine,
-    TaskFailure,
-    TaskScheduler,
-    partition_table,
-)
+from repro.engine.partial import ineligibility
+from repro.engine.udf import UDFRegistry
+from repro.sql.parser import parse
+
+REGIONS = ["east", "west", "north", "south"]
+
+SALES_COLUMNS = [
+    ("id", ValueType.int_()),
+    ("region", ValueType.string(8)),
+    ("qty", ValueType.int_()),
+    ("price", ValueType.decimal(2)),
+]
+
+
+def _sales_rows(rows=60) -> list:
+    return [
+        (i, REGIONS[i % 4], (i * 7) % 13 + 1, float((i * 31) % 97) + 0.5)
+        for i in range(rows)
+    ]
 
 
 def _sales_table(rows=60) -> Table:
@@ -21,34 +49,38 @@ def _sales_table(rows=60) -> Table:
             ColumnSpec("price", DataType.DECIMAL, scale=2),
         )
     )
-    regions = ["east", "west", "north", "south"]
-    data = [
-        (i, regions[i % 4], (i * 7) % 13 + 1, float((i * 31) % 97) + 0.5)
-        for i in range(rows)
-    ]
-    return Table.from_rows(schema, data)
+    return Table.from_rows(schema, _sales_rows(rows))
 
 
-@pytest.fixture()
-def engines():
-    table = _sales_table()
-    parallel_catalog = Catalog()
-    parallel_catalog.create("sales", table)
-    serial_catalog = Catalog()
-    serial_catalog.create("sales", table)
-    return (
-        ParallelEngine(parallel_catalog, num_partitions=4),
-        Engine(serial_catalog),
+def _cluster(shards, rows=60, **kwargs):
+    conn = api.connect(
+        shards=shards, modulus_bits=256, value_bits=64, rng=seeded_rng(61),
+        **kwargs,
     )
+    conn.proxy.create_table(
+        "sales", SALES_COLUMNS, _sales_rows(rows), sensitive=["qty"],
+        rng=seeded_rng(62), shard_by="id",
+    )
+    return conn
+
+
+@pytest.fixture(scope="module")
+def engines():
+    catalog = Catalog()
+    catalog.create("sales", _sales_table())
+    conn = _cluster(4)
+    yield conn, Engine(catalog)
+    conn.close()
 
 
 def assert_equivalent(engines, sql, ordered=False):
-    parallel, serial = engines
+    """Cluster answer == serial plaintext answer; returns the route report."""
+    cluster, serial = engines
     expected = serial.execute(sql)
-    actual = parallel.execute(sql)
-    assert actual.schema.names == expected.schema.names
+    cursor = cluster.cursor().execute(sql)
+    actual_rows = cursor.fetchall()
+    assert tuple(d[0] for d in cursor.description) == tuple(expected.schema.names)
     expected_rows = list(expected.rows())
-    actual_rows = list(actual.rows())
     if not ordered:
         expected_rows = sorted(expected_rows, key=repr)
         actual_rows = sorted(actual_rows, key=repr)
@@ -59,54 +91,70 @@ def assert_equivalent(engines, sql, ordered=False):
                 assert av == pytest.approx(ev, rel=1e-9)
             else:
                 assert av == ev
-    return parallel.last_plan
+    return cursor.report.scatter
+
+
+def _shard_rows(conn, name="sales") -> list[int]:
+    return [
+        shard.catalog.get(name).num_rows if name in shard.catalog.names() else 0
+        for shard in conn.proxy.server.shards
+    ]
 
 
 # -- partitioning -------------------------------------------------------------
 
 
-def test_partition_sizes_balanced():
-    parts = partition_table(_sales_table(10), 3)
-    assert [p.num_rows for p in parts] == [4, 3, 3]
-
-
 def test_partition_preserves_rows():
-    table = _sales_table(17)
-    parts = partition_table(table, 5)
-    rebuilt = [row for part in parts for row in part.rows()]
-    assert rebuilt == list(table.rows())
+    conn = _cluster(5, rows=17)
+    try:
+        assert sum(_shard_rows(conn)) == 17
+        rows = conn.cursor().execute("SELECT id FROM sales").fetchall()
+        assert sorted(r[0] for r in rows) == list(range(17))
+    finally:
+        conn.close()
 
 
 def test_partition_more_than_rows():
-    parts = partition_table(_sales_table(2), 8)
-    assert len(parts) == 2
+    conn = _cluster(8, rows=2)
+    try:
+        sizes = _shard_rows(conn)
+        assert sum(sizes) == 2
+        assert sum(1 for size in sizes if size) <= 2
+    finally:
+        conn.close()
 
 
 def test_partition_empty_table():
-    parts = partition_table(Table.empty(_sales_table(1).schema), 4)
-    assert len(parts) == 1
-    assert parts[0].num_rows == 0
+    conn = _cluster(4, rows=0)
+    try:
+        assert _shard_rows(conn) == [0, 0, 0, 0]
+        count = conn.cursor().execute("SELECT COUNT(*) AS c FROM sales")
+        assert count.fetchall() == [(0,)]
+    finally:
+        conn.close()
 
 
 def test_partition_rejects_zero():
-    with pytest.raises(ValueError):
-        partition_table(_sales_table(4), 0)
+    from repro.cluster.coordinator import ShardError
+
+    with pytest.raises(ShardError):
+        Coordinator([])
 
 
-# -- parallel == serial -----------------------------------------------------------
+# -- partial/merge == serial ------------------------------------------------------
 
 
 def test_scan_filter_project(engines):
-    plan = assert_equivalent(
+    route = assert_equivalent(
         engines, "SELECT id, qty * 2 AS dqty FROM sales WHERE qty > 5"
     )
-    assert plan.mode == "parallel"
-    assert plan.partitions == 4
+    assert route.mode == "scatter"
+    assert route.shards == 4
 
 
 def test_global_sum(engines):
-    plan = assert_equivalent(engines, "SELECT SUM(qty) AS total FROM sales")
-    assert plan.mode == "parallel"
+    route = assert_equivalent(engines, "SELECT SUM(qty) AS total FROM sales")
+    assert route.mode == "scatter"
 
 
 def test_global_count_star(engines):
@@ -124,12 +172,12 @@ def test_global_avg(engines):
 
 
 def test_grouped_aggregates(engines):
-    plan = assert_equivalent(
+    route = assert_equivalent(
         engines,
         "SELECT region, COUNT(*) AS c, SUM(qty) AS q, AVG(price) AS p "
         "FROM sales GROUP BY region",
     )
-    assert plan.mode == "parallel"
+    assert route.mode == "scatter"
 
 
 def test_grouped_with_having(engines):
@@ -157,12 +205,12 @@ def test_aggregate_expression_of_aggregates(engines):
 
 
 def test_scan_order_by_selected_column(engines):
-    plan = assert_equivalent(
+    route = assert_equivalent(
         engines,
         "SELECT id, price FROM sales WHERE region = 'east' ORDER BY price DESC",
         ordered=True,
     )
-    assert plan.mode == "parallel"
+    assert route.mode == "scatter"
 
 
 def test_distinct_scan(engines):
@@ -174,114 +222,125 @@ def test_empty_result(engines):
 
 
 def test_aggregate_over_empty_group_count_is_zero(engines):
-    parallel, _ = engines
-    result = parallel.execute("SELECT COUNT(*) AS c FROM sales WHERE id < 0")
-    assert result.column("c") == [0]
+    cluster, _ = engines
+    cursor = cluster.cursor().execute("SELECT COUNT(*) AS c FROM sales WHERE id < 0")
+    assert cursor.fetchall() == [(0,)]
 
 
 # -- fallback --------------------------------------------------------------------
 
 
-def test_join_falls_back(engines):
-    parallel, _ = engines
-    parallel.catalog.create("sales2", _sales_table(5))
-    parallel.execute(
-        "SELECT s.id FROM sales s, sales2 t WHERE s.id = t.id"
-    )
-    assert parallel.last_plan.mode == "serial"
-    assert "single base table" in parallel.last_plan.reason
+def _reason(sql):
+    udfs = UDFRegistry()
+    register_sdb_udfs(udfs)
+    return ineligibility(parse(sql), udfs, {"sales", "sales2"})
 
 
-def test_subquery_falls_back(engines):
-    parallel, _ = engines
-    parallel.execute(
+def test_join_falls_back():
+    reason = _reason("SELECT s.id FROM sales s, sales2 t WHERE s.id = t.id")
+    assert "single base table" in reason
+
+
+def test_subquery_falls_back():
+    reason = _reason(
         "SELECT id FROM sales WHERE qty > (SELECT AVG(qty) FROM sales)"
     )
-    assert parallel.last_plan.mode == "serial"
+    assert "subquery" in reason
 
 
-def test_distinct_aggregate_falls_back(engines):
-    parallel, _ = engines
-    parallel.execute("SELECT COUNT(DISTINCT region) AS c FROM sales")
-    assert parallel.last_plan.mode == "serial"
+def test_distinct_aggregate_falls_back():
+    assert "DISTINCT" in _reason("SELECT COUNT(DISTINCT region) AS c FROM sales")
 
 
-def test_unresolvable_order_by_falls_back(engines):
-    parallel, _ = engines
-    parallel.execute("SELECT id FROM sales ORDER BY qty * price")
-    assert parallel.last_plan.mode == "serial"
+def test_unresolvable_order_by_falls_back():
+    assert _reason("SELECT id FROM sales ORDER BY qty * price") is not None
 
 
 def test_fallback_matches_serial(engines):
     # fallback results must still be correct
-    assert_equivalent(
+    route = assert_equivalent(
         engines, "SELECT COUNT(DISTINCT region) AS c FROM sales"
     )
+    assert route.mode != "scatter"
 
 
 # -- fault tolerance ----------------------------------------------------------------
 
 
+def _replicated(injector):
+    groups = [
+        ShardGroup(
+            [
+                FaultyBackend(SDBServer(shard_id=g), f"s{g}r{o}", injector)
+                for o in range(2)
+            ]
+        )
+        for g in range(4)
+    ]
+    conn = api.connect(
+        server=Coordinator(groups), modulus_bits=256, value_bits=64,
+        rng=seeded_rng(63),
+    )
+    conn.proxy.create_table(
+        "sales", SALES_COLUMNS, _sales_rows(40), sensitive=["qty"],
+        rng=seeded_rng(64), shard_by="id",
+    )
+    return conn
+
+
 def test_injected_failures_are_retried():
-    table = _sales_table(40)
-    catalog = Catalog()
-    catalog.create("sales", table)
-    injector = FaultInjector({("partial", 0): 1, ("partial", 2): 2})
-    scheduler = TaskScheduler(max_attempts=3, fault_injector=injector)
-    engine = ParallelEngine(catalog, num_partitions=4, scheduler=scheduler)
-
-    result = engine.execute("SELECT SUM(qty) AS total FROM sales")
-
-    serial_catalog = Catalog()
-    serial_catalog.create("sales", table)
-    expected = Engine(serial_catalog).execute("SELECT SUM(qty) AS total FROM sales")
-    assert result.column("total") == expected.column("total")
-    assert scheduler.stats.retries == 3
-    assert scheduler.stats.failures == 0
+    injector = FaultInjector()
+    conn = _replicated(injector)
+    try:
+        injector.kill("s0r0")
+        injector.kill("s2r1")
+        expected = sum(qty for _, _, qty, _ in _sales_rows(40))
+        events = []
+        # reads rotate over a group's members: a few queries hit both kills
+        for _ in range(4):
+            cursor = conn.execute("SELECT SUM(qty) AS total FROM sales")
+            assert cursor.fetchall() == [(expected,)]
+            assert cursor.report.scatter.mode == "scatter"
+            events += cursor.report.failover
+        assert any("promote" in event for event in events)
+    finally:
+        conn.close()
 
 
 def test_exhausted_retries_raise():
-    catalog = Catalog()
-    catalog.create("sales", _sales_table(8))
-    injector = FaultInjector({("partial", 1): 99})
-    scheduler = TaskScheduler(max_attempts=2, fault_injector=injector)
-    engine = ParallelEngine(catalog, num_partitions=4, scheduler=scheduler)
-    with pytest.raises(TaskFailure, match="after 2 attempts"):
-        engine.execute("SELECT SUM(qty) AS total FROM sales")
-    assert scheduler.stats.failures == 1
-
-
-def test_scheduler_rejects_zero_attempts():
-    with pytest.raises(ValueError):
-        TaskScheduler(max_attempts=0)
+    injector = FaultInjector()
+    conn = _replicated(injector)
+    try:
+        injector.kill("s1r0")
+        injector.kill("s1r1")
+        with pytest.raises(api.ShardUnavailableError):
+            conn.execute("SELECT SUM(qty) AS total FROM sales").fetchall()
+    finally:
+        conn.close()
 
 
 # -- encrypted parallel execution ------------------------------------------------------
 
 
 def test_sdb_share_sums_parallelize():
-    """Encrypted SUM must produce identical plaintext via both engines."""
-    from repro.core.meta import ValueType
-    from repro.core.proxy import SDBProxy
-    from repro.core.server import SDBServer
-    from repro.crypto.prf import seeded_rng
-
+    """Encrypted SUM must produce identical plaintext on one SP and on shards."""
     rows = [(i, float(i)) for i in range(1, 41)]
     results = {}
-    for partitions in (0, 4):
-        server = SDBServer(parallel_partitions=partitions)
-        proxy = SDBProxy(server, modulus_bits=256, value_bits=64,
-                         rng=seeded_rng(77))
-        proxy.create_table(
+    for shards in (None, 4):
+        conn = api.connect(shards=shards, modulus_bits=256, value_bits=64,
+                           rng=seeded_rng(77))
+        conn.proxy.create_table(
             "pay",
             [("id", ValueType.int_()), ("amount", ValueType.decimal(2))],
             rows,
             sensitive=["amount"],
             rng=seeded_rng(78),
+            shard_by="id" if shards else None,
         )
-        result = proxy.query("SELECT SUM(amount) AS total FROM pay")
-        results[partitions] = result.table.column("total")[0]
-        if partitions:
-            assert server.engine.last_plan.mode == "parallel"
-    assert results[4] == pytest.approx(results[0])
-    assert results[0] == pytest.approx(sum(v for _, v in rows))
+        cursor = conn.execute("SELECT SUM(amount) AS total FROM pay")
+        results[shards] = cursor.fetchone()[0]
+        if shards:
+            assert cursor.report.scatter.mode == "scatter"
+        conn.close()
+    assert results[4] == pytest.approx(results[None])
+    assert results[None] == pytest.approx(sum(v for _, v in rows))

@@ -92,9 +92,10 @@ def test_framing_over_socketpair():
     a, b = socket.socketpair()
     try:
         message = {"op": "execute", "sql": "SELECT 1", "big": 2**1024}
-        protocol.send_message(a, message)
-        received = protocol.recv_message(b)
+        sent = protocol.send_message(a, message)
+        received, size = protocol.recv_message(b)
         assert received == message
+        assert size == sent  # both sides count header + body
     finally:
         a.close()
         b.close()
@@ -106,7 +107,7 @@ def test_framing_multiple_messages_in_order():
         for i in range(5):
             protocol.send_message(a, {"i": i})
         for i in range(5):
-            assert protocol.recv_message(b) == {"i": i}
+            assert protocol.recv_message(b)[0] == {"i": i}
     finally:
         a.close()
         b.close()

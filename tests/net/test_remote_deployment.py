@@ -6,6 +6,7 @@ are exercised end to end against a live localhost daemon.
 """
 
 import datetime
+import json
 
 import pytest
 
@@ -46,7 +47,12 @@ def deployment():
 
 def test_ping(deployment):
     _, remote, _ = deployment
+    received_before = remote.bytes_received
     assert remote.ping()
+    # the counter moves by the response frame: 4-byte length + JSON body
+    request_id = next(remote._request_ids) - 1
+    body = json.dumps({"ok": "pong", "id": request_id}, separators=(",", ":"))
+    assert remote.bytes_received - received_before == 4 + len(body)
 
 
 def test_upload_lands_encrypted_at_sp(deployment):

@@ -95,13 +95,46 @@ def test_legacy_contextless_client_works_unchanged(daemon):
 def test_contextless_response_carries_no_span_payload(daemon):
     import socket
 
+    # a frame without an id goes through the same session dispatch and
+    # is answered with the id echoed as None
+    frames = [{"op": "ping", "id": 1, "session": "legacy"}, {"op": "ping"}]
     with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
-        protocol.send_message(
-            sock, {"op": "ping", "id": 1, "session": "legacy"}
+        for frame in frames:
+            protocol.send_message(sock, frame)
+            response, _ = protocol.recv_message(sock)
+            assert response["ok"] == "pong"
+            assert response["id"] == frame.get("id")
+            assert SPANS_KEY not in response  # legacy frames stay legacy
+
+
+def test_asyncio_wire_session_stitches_daemon_spans(daemon):
+    import asyncio
+
+    import repro.api.aio as aio
+
+    async def run():
+        conn = await aio.aconnect(
+            host="127.0.0.1", port=daemon.port, modulus_bits=256,
+            value_bits=64, rng=seeded_rng(53), tracing=True,
         )
-        response = protocol.recv_message(sock)
-    assert response["ok"] == "pong"
-    assert SPANS_KEY not in response  # legacy frames stay legacy
+        try:
+            await conn.run_sync(lambda c: c.proxy.create_table(
+                "t_aio", COLUMNS, ROWS, sensitive=["amt"],
+                rng=seeded_rng(54), replace=True,
+            ))
+            cur = await conn.execute(
+                "SELECT grp, SUM(amt) AS s FROM t_aio GROUP BY grp"
+            )
+            assert len(await cur.fetchall()) == 3
+            return conn.trace_spans()
+        finally:
+            await conn.close()
+
+    spans = asyncio.run(run())
+    assert len({s.trace_id for s in spans}) == 1
+    daemon_spans = [s for s in spans if s.origin == "daemon"]
+    assert daemon_spans
+    assert all(s.name.startswith("sp:") for s in daemon_spans)
 
 
 def test_daemon_metrics_ops_over_the_wire(daemon):
